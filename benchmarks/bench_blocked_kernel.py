@@ -54,11 +54,11 @@ def run_blocked_kernel(
     n_genomes: int = 50, seed: int = 0, rounds: int = 5
 ) -> Dict[str, object]:
     """Measure per-row kernel dispatch vs one cache-blocked call."""
-    backend = native.backend_for("numba") or native.backend_for("cext")
+    backend = native.backend_for("cext")
     if backend is None:
         raise RuntimeError(
-            "no compiled kernel backend available (numba not importable, "
-            "no C compiler) — the blocked guard needs one of the two"
+            "no compiled kernel backend available (no C compiler) — the "
+            "blocked guard needs the cc-built C extension"
         )
 
     programs = SPECJVM98.programs(seed=0)

@@ -1,8 +1,8 @@
 """Throughput benchmark of the sharded evaluation-store tier.
 
-Two legs, guarding the two protocols the tier replaces
-(``repro.perf.storetier`` vs the legacy single-file
-``repro.perf.store.EvaluationStore``):
+Two legs, guarding the tier (``repro.perf.storetier``) against the two
+protocols it replaced around the single-file
+``repro.perf.store.EvaluationStore``:
 
 * **batched warm-start lookup** (the guarded ``speedup``): a new job
   opens an accumulated store holding many contexts' records and answers
@@ -15,12 +15,14 @@ Two legs, guarding the two protocols the tier replaces
   the identical lookup batch; fitnesses are compared value for value.
 
 * **concurrent 4-writer append** (``append_speedup``): four writers
-  persist their records under each protocol.  The legacy funnel is the
-  campaign coordinator's single-writer discipline: each worker buffers
-  its records in a readonly store, drains them, and the coordinator
-  replays every batch into the shared file — re-opening (and therefore
-  re-parsing) the growing store per merge, re-serializing every record
-  a second time, and deduping against the loaded map.  The tier leg
+  persist their records under each protocol.  The funnel is the
+  single-writer discipline campaigns used before the tier became their
+  only multi-writer protocol, rebuilt here as the baseline
+  (:class:`_FunnelWorker`): each worker opens the store, buffers its
+  records in memory, and the coordinator replays every batch into the
+  shared file — re-opening (and therefore re-parsing) the growing store
+  per merge, re-serializing every record a second time, and deduping
+  against the loaded map.  The tier leg
   gives each writer a private shard it appends to directly — one
   serialization, no merge pass, no re-reads.  After both legs the
   persisted contents are compared context by context.
@@ -62,6 +64,25 @@ def _genome(i: int) -> Genome:
         (i * 3) % 64,
         (i * 17) % 128,
     )
+
+
+class _FunnelWorker:
+    """A funnel worker: reads the shared single-file store, buffers its
+    new records in memory for the coordinator to replay (the per-record
+    work of the retired buffered-reader store mode)."""
+
+    def __init__(self, path: str, context: str) -> None:
+        self.store = EvaluationStore(path, context=context)
+        self.pending: List[Tuple[Genome, float, None]] = []
+
+    def record(self, genome, fitness: float) -> None:
+        key = tuple(int(g) for g in genome)
+        fitness = float(fitness)
+        if fitness != fitness or fitness in (float("inf"), float("-inf")):
+            raise ValueError(f"non-finite fitness for {key}")
+        if self.store.get(key) == fitness:
+            return
+        self.pending.append((key, fitness, None))
 
 
 def _build_corpus(
@@ -109,7 +130,7 @@ def run_store_tier(
         batch = [genome for genome, _fitness in corpus[target]]
 
         def legacy_lookup() -> List[float]:
-            store = EvaluationStore(legacy_path, context=target, readonly=True)
+            store = EvaluationStore(legacy_path, context=target)
             return [store.get(genome) for genome in batch]
 
         def tier_lookup() -> List[float]:
@@ -125,23 +146,22 @@ def run_store_tier(
 
         # -- append-leg helpers ---------------------------------------
         def funnel_append(run: int) -> str:
-            # single-writer discipline: buffer in readonly stores, then
-            # the coordinator replays every drained batch (mirrors
-            # experiments.campaign._merge_pending, including the store
-            # re-open — and therefore full re-parse — per merge)
+            # single-writer discipline: workers buffer in memory, then
+            # the coordinator replays every buffered batch, deduped,
+            # including the store re-open — and therefore full re-parse
+            # — per merge
             path = os.path.join(root, f"funnel-{run}.jsonl")
             for w in range(writers):
                 context = f"writer-ctx-{w}"
-                worker = EvaluationStore(path, context=context, readonly=True)
+                worker = _FunnelWorker(path, context)
                 for i in range(per_writer):
                     genome, fitness = (
                         _genome(w * per_writer + i),
                         float(w * per_writer + i),
                     )
                     worker.record(genome, fitness)
-                pending = worker.drain_pending()
                 with EvaluationStore(path, context=context) as coordinator:
-                    for genome, fitness, per in pending:
+                    for genome, fitness, per in worker.pending:
                         if genome in coordinator:
                             continue
                         coordinator.record(genome, fitness, per)
@@ -167,13 +187,14 @@ def run_store_tier(
         tier_append_path = tier_append(rounds)
         for w in range(writers):
             context = f"writer-ctx-{w}"
-            legacy_entries = EvaluationStore(
-                funnel_path, context=context, readonly=True
-            ).snapshot()
+            funnel = EvaluationStore(funnel_path, context=context)
             tier_entries, _extras, _repairs = StoreTier(
                 tier_append_path
             ).load_context(context)
-            if legacy_entries != tier_entries:
+            if funnel.size != len(tier_entries) or any(
+                funnel.get(genome) != fitness
+                for genome, fitness in tier_entries.items()
+            ):
                 mismatches += 1
 
         # -- timed rounds, legs interleaved ---------------------------

@@ -97,19 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument(
         "--store",
         default=None,
-        help="shared evaluation-store path: a JSONL file (legacy "
-        "single-writer store) or a directory/*.tier path (sharded "
-        "store tier). Default: .repro_cache/evaluations.jsonl, or "
-        "<dir>/evaluations.jsonl with --dir",
-    )
-    p_camp.add_argument(
-        "--store-tier",
-        default=None,
         metavar="DIR",
-        help="shorthand for --store pointing at a sharded "
-        "store-tier directory (created if missing); workers append "
-        "their own shards and the tier is compacted when the "
-        "campaign finishes",
+        help="shared evaluation-store tier directory (created if "
+        "missing); workers append their own shards and the tier is "
+        "compacted when the campaign finishes. A single-file JSONL "
+        "store is refused: import it with 'repro store migrate'. "
+        "Default: .repro_cache/evaluations.tier (shared with tuning "
+        "runs), or <dir>/store.tier with --dir",
     )
     p_camp.add_argument(
         "--warm-start",
@@ -406,19 +400,7 @@ def _cmd_campaign(args) -> int:
         metrics=[m.strip() for m in args.metrics.split(",") if m.strip()],
         seed=args.seed,
     )
-    if args.store_tier is not None:
-        if args.store is not None:
-            print("error: --store and --store-tier are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        # create the tier up front so every worker resolves the path as
-        # a tier (a bare nonexistent directory would look like a legacy
-        # file path)
-        from repro.perf.storetier import StoreTier
-
-        StoreTier(args.store_tier)
-        store = args.store_tier
-    elif args.store is not None:
+    if args.store is not None:
         store = args.store
     elif args.campaign_dir is not None:
         store = None  # the campaign directory supplies its default store

@@ -149,7 +149,6 @@ class InliningTuner:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         evaluator_factory=None,
         store_path: Optional[str] = None,
-        store_readonly: bool = False,
         warm_start_neighbors: bool = False,
         strategy: str = "ga",
         strategy_budget: Optional[int] = None,
@@ -177,14 +176,10 @@ class InliningTuner:
         #: evaluation context; an identical re-run (same task, programs,
         #: space, cost model) re-simulates nothing.  A directory (or
         #: ``*.tier`` path) opens as a sharded
-        #: :class:`~repro.perf.storetier.TierStore`; anything else as
-        #: the legacy single-file JSONL store.
+        #: :class:`~repro.perf.storetier.TierStore`, which any number of
+        #: processes share; anything else as the single-process JSONL
+        #: store.
         self.store_path = store_path
-        #: open a *legacy* store in buffered read-only mode (campaign
-        #: workers: new records accumulate on :attr:`last_store` for the
-        #: coordinating process to collect — single-writer discipline).
-        #: Tier stores ignore this: they append to private shards.
-        self.store_readonly = store_readonly
         #: opt-in, trajectory-changing: when the store is a tier and the
         #: task's context has no recorded entries yet, seed the initial
         #: GA population with the best genomes of the nearest-neighbour
@@ -508,9 +503,7 @@ class InliningTuner:
             self.space,
             programs,
         )
-        store = open_store(
-            self.store_path, context=context, readonly=self.store_readonly
-        )
+        store = open_store(self.store_path, context=context)
         if isinstance(store, TierStore):
             store.tier.register_profile(
                 context,

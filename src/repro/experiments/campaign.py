@@ -2,22 +2,18 @@
 
 A *campaign* runs several tuning tasks — the cross product of target
 machines, compilation scenarios and optimization metrics — against one
-shared persistent :class:`~repro.perf.store.EvaluationStore`.  Tasks
-are independent (their evaluation contexts never overlap, so no genome
+shared evaluation-store tier (:mod:`repro.perf.storetier`).  Tasks are
+independent (their evaluation contexts never overlap, so no genome
 fitness can cross-pollute between grid cells) and run concurrently in a
 process pool.
 
-With a legacy single-file store, single-writer discipline applies:
-workers open the store in buffered read-only mode
-(:class:`EvaluationStore` ``readonly=True``), answer already persisted
-genomes from it, and return their newly simulated records to the
-coordinating process, which is the only one that ever appends to the
-JSONL file.  With a *store tier* (``--store-tier``; a directory — see
-:mod:`repro.perf.storetier`) that funnel disappears: every worker
-appends durable records straight to its own shard, nothing rides back
-in the result tuple, and the coordinator compacts the cooled shards
-when the campaign finishes.  Either way, a re-run of the same campaign
-answers every genome from the store — zero new simulations.
+Each cell is a :class:`CellRequest` executed by :func:`execute_cell`,
+the same protocol the :mod:`repro.service` daemon uses.  Every worker
+appends durable records straight to its own shard of the tier, and the
+coordinator compacts the cooled shards when the campaign finishes; a
+re-run of the same campaign answers every genome from the tier — zero
+new simulations.  A single-file JSONL store is refused as a campaign
+store: ``repro store migrate`` imports one into a tier.
 
 Each task also reports its accelerator counters (report-memo, method
 cache and batch-dedup hit rates), which
@@ -39,6 +35,7 @@ cells and restarts interrupted ones from their last generation.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -53,7 +50,6 @@ from repro.errors import CampaignError, ConfigurationError
 from repro.ga.engine import GAConfig
 from repro.jvm.scenario import get_scenario
 from repro.perf.engine import STAT_COUNTERS, AcceleratorStats
-from repro.perf.store import EvaluationStore
 from repro.resilience import (
     CampaignManifest,
     FailureReport,
@@ -126,7 +122,7 @@ class CampaignTaskResult:
     tuned: Optional[TunedHeuristic]
     #: evaluation-context key of the cell's store partition
     context: Optional[str]
-    #: records this task simulated and the coordinator persisted
+    #: records this task's worker appended to the store tier
     new_records: int
     #: the task's accelerator counters (None if the evaluator ran
     #: without memoization)
@@ -242,7 +238,7 @@ class CellRequest:
 
     task: TuningTask
     ga_config: GAConfig
-    #: shared evaluation store — JSONL file, tier directory, or None
+    #: shared evaluation-store tier directory, or None
     store_path: Optional[str] = None
     workload_seed: int = 0
     #: per-cell GA checkpoint path (crash-safe resume), or None
@@ -256,22 +252,6 @@ class CellRequest:
     #: search strategy tuning this cell (repro.search registry name)
     strategy: str = "ga"
 
-    @classmethod
-    def from_payload(cls, payload: Sequence) -> "CellRequest":
-        """Unpack a legacy positional payload tuple (5..9 elements)."""
-        task, ga_config, store_path, workload_seed, checkpoint_path = payload[:5]
-        return cls(
-            task=task,
-            ga_config=ga_config,
-            store_path=store_path,
-            workload_seed=workload_seed,
-            checkpoint_path=checkpoint_path,
-            archive_name=payload[5] if len(payload) > 5 else None,
-            plan_base=payload[6] if len(payload) > 6 else None,
-            warm_start_neighbors=bool(payload[7]) if len(payload) > 7 else False,
-            strategy=str(payload[8]) if len(payload) > 8 else "ga",
-        )
-
 
 @dataclass(frozen=True)
 class CellOutcome:
@@ -281,37 +261,21 @@ class CellOutcome:
     tuned: TunedHeuristic
     #: evaluation-context key of the cell's store partition
     context: Optional[str]
-    #: records buffered by a readonly legacy store (tier cells: empty)
-    pending: Tuple
     accelerator_stats: Optional[Dict[str, float]]
     #: compiled plan caches as flat arrays (repro.perf.planshare)
     plan_exports: Optional[dict]
-    #: records a tier cell appended durably from the worker itself
+    #: records the cell appended durably to the store tier
     appended: int
-
-    def as_tuple(self) -> Tuple:
-        """The positional result tuple the campaign runner consumes."""
-        return (
-            self.task_name,
-            self.tuned,
-            self.context,
-            self.pending,
-            self.accelerator_stats,
-            self.plan_exports,
-            self.appended,
-        )
 
 
 def execute_cell(request: CellRequest) -> CellOutcome:
     """Tune one grid cell (module-level: runs in pool workers).
 
     This is the cell-execution core shared by ``repro campaign`` and
-    the ``repro serve`` daemon.  A legacy single-file store opens
-    read-only; newly simulated records come back in
-    :attr:`CellOutcome.pending` for the coordinator to persist.  A
-    store *tier* appends from this worker directly (private shard,
-    durable immediately) and only :attr:`CellOutcome.appended` rides
-    back.  With a checkpoint path the GA persists its state every
+    the ``repro serve`` daemon.  The store tier is appended from this
+    worker directly (private shard, durable immediately) and only the
+    count, :attr:`CellOutcome.appended`, rides back.  With a checkpoint
+    path the GA persists its state every
     generation and resumes from an existing checkpoint, so a retried or
     resumed cell re-simulates only what the store cannot answer.
     """
@@ -341,7 +305,6 @@ def execute_cell(request: CellRequest) -> CellOutcome:
             tuner = InliningTuner(
                 request.ga_config,
                 store_path=request.store_path,
-                store_readonly=True,
                 warm_start_neighbors=request.warm_start_neighbors,
                 strategy=request.strategy,
             )
@@ -349,56 +312,33 @@ def execute_cell(request: CellRequest) -> CellOutcome:
                 task, programs, checkpoint_path=request.checkpoint_path
             )
     store = tuner.last_store
-    pending = tuple(store.drain_pending()) if store is not None else ()
-    context = store.context if store is not None else None
-    # tier stores append durably from the worker itself; report how many
-    # records this cell persisted so the coordinator can account for
-    # them without a merge pass
-    appended = getattr(store, "appended", 0) if store is not None else 0
     return CellOutcome(
         task_name=task.name,
         tuned=tuned,
-        context=context,
-        pending=pending,
+        context=store.context if store is not None else None,
         accelerator_stats=tuner.last_accelerator_stats,
         plan_exports=tuner.last_plan_exports,
-        appended=appended,
+        appended=getattr(store, "appended", 0) if store is not None else 0,
     )
 
 
-def _run_campaign_task(payload) -> Tuple:
-    """Positional-tuple adapter over :func:`execute_cell`.
+def _open_campaign_tier(store_path: str) -> None:
+    """Create the campaign's store tier, refusing a single-file store.
 
-    The campaign runner ships payload tuples (5..8 elements — older
-    checkpoint tooling still submits five) and consumes positional
-    result tuples; the daemon uses :class:`CellRequest` directly.
+    Every campaign worker appends to its own shard of the tier; a
+    single-file JSONL store has one writer and cannot be shared, so an
+    existing regular file is refused with the command that imports it.
     """
-    return execute_cell(CellRequest.from_payload(payload)).as_tuple()
+    if os.path.isfile(store_path):
+        raise ConfigurationError(
+            f"campaign store {store_path!r} is a single-file store; campaigns "
+            f"share evaluations through a store tier — import it with "
+            f"'repro store migrate {store_path} DIR' and pass the tier "
+            f"directory instead"
+        )
+    from repro.perf.storetier import StoreTier
 
-
-def _merge_pending(
-    store_path: str,
-    context: str,
-    pending: Sequence[Tuple[Tuple[int, ...], float, Optional[dict]]],
-) -> int:
-    """Persist a cell's drained records into the coordinator's store.
-
-    Records are deduped by genome key against the store (and within
-    *pending* itself) before being appended, and the count of genuinely
-    new records is returned.  The dedupe matters under supervision: a
-    cell retried after a timeout whose first attempt's result still
-    lands can hand the coordinator the same buffered records twice —
-    replaying them must not double-append lines or double-count
-    ``new_records``.
-    """
-    fresh = 0
-    with EvaluationStore(store_path, context=context) as writer:
-        for genome, fitness, per_benchmark in pending:
-            if genome in writer:
-                continue
-            writer.record(genome, fitness, per_benchmark)
-            fresh += 1
-    return fresh
+    StoreTier(store_path)
 
 
 def _resumed_result(task_name: str, cell: dict) -> CampaignTaskResult:
@@ -439,15 +379,16 @@ def run_campaign(
     fingerprint, so a manifest written by one strategy cannot silently
     resume under another.
 
-    *store_path* names the shared evaluation store — a JSONL file
-    (legacy single-writer protocol) or a store-tier directory
-    (:mod:`repro.perf.storetier`: workers append their own durable
-    shards, the coordinator compacts at the end; no store when None —
-    every run then simulates from scratch).  *processes* caps
-    the pool size (default: one per task, bounded by the CPU count);
-    ``serial=True`` runs the tasks in-process, in order — same
-    single-writer protocol, no pool.  *progress* (optional callable)
-    receives one status line per finished task.
+    *store_path* names the shared store-tier directory
+    (:mod:`repro.perf.storetier`), created when missing: workers append
+    their own durable shards and the coordinator compacts at the end.
+    An existing regular file (a single-file JSONL store) raises
+    :class:`~repro.errors.ConfigurationError` naming ``repro store
+    migrate``.  With None there is no store and every run simulates
+    from scratch.  *processes* caps the pool size (default: one per
+    task, bounded by the CPU count); ``serial=True`` runs the tasks
+    in-process, in order — same cell protocol, no pool.  *progress*
+    (optional callable) receives one status line per finished task.
 
     *campaign_dir* turns on crash-safe bookkeeping: a manifest records
     each completed cell the moment the coordinator persisted it, and
@@ -457,7 +398,7 @@ def run_campaign(
     cells are skipped — ``resume=True`` additionally *requires* the
     manifest to exist, catching a mistyped directory.  When
     *store_path* is None a campaign directory supplies a default store
-    at ``<campaign_dir>/evaluations.jsonl``.
+    tier at ``<campaign_dir>/store.tier``.
 
     Cells run supervised under *retry_policy* (default
     :class:`~repro.resilience.RetryPolicy`): worker deaths rebuild the
@@ -475,28 +416,38 @@ def run_campaign(
     torn down (and the worker hand-off environment variable removed)
     even when the campaign raises.  Telemetry never changes results —
     the run is bitwise-identical to one without it.
+
+    :attr:`CampaignResult.wall_seconds` runs from entry to return, so it
+    includes the set-up (telemetry, store tier, workload and plan
+    archive publication) as well as the cells.
     """
-    if telemetry_dir is not None:
-        telemetry_configure(telemetry_dir)
-        try:
-            return _run_campaign_impl(
-                tasks, ga_config, store_path, workload_seed, processes,
-                serial, progress, campaign_dir, resume, retry_policy,
-                warm_start_neighbors, strategy,
-            )
-        finally:
-            session = telemetry_get_session()
-            if session is not None:
-                session.export_prometheus()
-            telemetry_shutdown()
-    return _run_campaign_impl(
-        tasks, ga_config, store_path, workload_seed, processes,
-        serial, progress, campaign_dir, resume, retry_policy,
-        warm_start_neighbors, strategy,
-    )
+    start = time.perf_counter()
+    with _telemetry_session(telemetry_dir):
+        return _run_campaign_impl(
+            start, tasks, ga_config, store_path, workload_seed, processes,
+            serial, progress, campaign_dir, resume, retry_policy,
+            warm_start_neighbors, strategy,
+        )
+
+
+@contextlib.contextmanager
+def _telemetry_session(telemetry_dir: Optional[str]):
+    """Own a telemetry session for one campaign when a DIR is given."""
+    if telemetry_dir is None:
+        yield
+        return
+    telemetry_configure(telemetry_dir)
+    try:
+        yield
+    finally:
+        session = telemetry_get_session()
+        if session is not None:
+            session.export_prometheus()
+        telemetry_shutdown()
 
 
 def _run_campaign_impl(
+    start: float,
     tasks: Optional[Sequence[TuningTask]],
     ga_config: GAConfig,
     store_path: Optional[str],
@@ -507,8 +458,8 @@ def _run_campaign_impl(
     campaign_dir: Optional[str],
     resume: bool,
     retry_policy: Optional[RetryPolicy],
-    warm_start_neighbors: bool = False,
-    strategy: str = "ga",
+    warm_start_neighbors: bool,
+    strategy: str,
 ) -> CampaignResult:
     say = progress or (lambda _msg: None)
     if tasks is None:
@@ -527,6 +478,8 @@ def _run_campaign_impl(
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate task names in campaign: {names}")
     policy = retry_policy or RetryPolicy()
+    if store_path is not None:
+        _open_campaign_tier(store_path)
 
     manifest: Optional[CampaignManifest] = None
     if campaign_dir is not None:
@@ -542,20 +495,14 @@ def _run_campaign_impl(
         )
         if store_path is None:
             store_path = manifest.store_path or os.path.join(
-                campaign_dir, "evaluations.jsonl"
+                campaign_dir, "store.tier"
             )
+            _open_campaign_tier(store_path)
             if manifest.store_path != store_path:
                 manifest.store_path = store_path
                 manifest.save()
     elif resume:
         raise ConfigurationError("resume=True requires campaign_dir")
-
-    # tier mode: store_path names a sharded store-tier directory rather
-    # than a single JSONL file — workers append their own shards, the
-    # coordinator never merges, and cooled shards compact at the end
-    from repro.perf.storetier import is_tier_path
-
-    tier_mode = store_path is not None and is_tier_path(store_path)
 
     resumed: Dict[str, CampaignTaskResult] = {}
     todo: List[TuningTask] = []
@@ -592,9 +539,9 @@ def _run_campaign_impl(
     # Like the workload archive this is purely a throughput
     # optimization — warm-started cells are bitwise-identical to cold
     # ones, and any failure degrades the campaign to private caches.
-    # With a store tier the archive additionally *persists* under
-    # <tier>/plans, so a future coordinator warm-starts its compiled
-    # plans from disk before the first cell even finishes.
+    # The archive also *persists* under <tier>/plans, so a future
+    # coordinator warm-starts its compiled plans from disk before the
+    # first cell even finishes.
     plan_publisher = None
     if parallel:
         try:
@@ -603,7 +550,7 @@ def _run_campaign_impl(
             if planshare.plan_sharing_enabled():
                 plan_publisher = planshare.PlanSharePublisher(
                     persist_dir=os.path.join(store_path, "plans")
-                    if tier_mode
+                    if store_path is not None
                     else None
                 )
         except Exception:
@@ -612,46 +559,39 @@ def _run_campaign_impl(
     payloads = [
         (
             task.name,
-            (
-                task,
-                ga_config,
-                store_path,
-                workload_seed,
-                checkpoint_path_for(campaign_dir, task.name)
+            CellRequest(
+                task=task,
+                ga_config=ga_config,
+                store_path=store_path,
+                workload_seed=workload_seed,
+                checkpoint_path=checkpoint_path_for(campaign_dir, task.name)
                 if campaign_dir is not None
                 else None,
-                archive.name if archive is not None else None,
-                plan_publisher.base if plan_publisher is not None else None,
-                warm_start_neighbors and tier_mode,
-                strategy,
+                archive_name=archive.name if archive is not None else None,
+                plan_base=plan_publisher.base
+                if plan_publisher is not None
+                else None,
+                warm_start_neighbors=warm_start_neighbors,
+                strategy=strategy,
             ),
         )
         for task in todo
     ]
-    start = time.perf_counter()
 
     finished: Dict[str, CampaignTaskResult] = {}
 
-    def on_result(name: str, value: Tuple) -> None:
-        # Fires in the coordinator as each cell completes.  Persist the
-        # cell's new store records (single writer, deduped against the
-        # store — see _merge_pending) and its manifest entry
-        # immediately: a crash later in the campaign then costs only
-        # the in-flight cells.
-        task_name, tuned, context, pending, accel_stats = value[:5]
-        plan_exports = value[5] if len(value) > 5 else None
-        store_appends = value[6] if len(value) > 6 else 0
-        fresh = 0
-        if store_path is not None and context is not None and pending:
-            fresh = _merge_pending(store_path, context, pending)
-        elif store_appends:
-            # tier cells persisted their records themselves; the count
-            # is bookkeeping, not a merge instruction
-            fresh = store_appends
-        if plan_publisher is not None and plan_exports:
+    def on_result(name: str, outcome: CellOutcome) -> None:
+        # Fires in the coordinator as each cell completes.  The worker
+        # already appended the cell's records to the tier; persist the
+        # manifest entry immediately, so a crash later in the campaign
+        # costs only the in-flight cells.
+        task_name, tuned, context = outcome.task_name, outcome.tuned, outcome.context
+        accel_stats = outcome.accelerator_stats
+        fresh = outcome.appended
+        if plan_publisher is not None and outcome.plan_exports:
             # fold the cell's compiled plans into the shared archive and
             # republish so cells still queued warm-start from them
-            plan_publisher.merge(plan_exports)
+            plan_publisher.merge(outcome.plan_exports)
             plan_publisher.publish_if_dirty()
         finished[task_name] = CampaignTaskResult(
             task_name=task_name,
@@ -709,14 +649,14 @@ def _run_campaign_impl(
                 registry.counter("repro_plan_recompiles_total").inc(
                     int(accel_stats.get("plan_recompiles", 0))
                 )
-            if tier_mode:
+            if store_path is not None:
                 # tier hit/miss accounting: genomes the tier answered vs
                 # genomes the cell had to simulate (and append)
                 registry.counter("repro_tier_hits_total").inc(
                     tuned.store_hits if tuned is not None else 0
                 )
-                registry.counter("repro_tier_misses_total").inc(store_appends)
-                registry.counter("repro_tier_appends_total").inc(store_appends)
+                registry.counter("repro_tier_misses_total").inc(fresh)
+                registry.counter("repro_tier_appends_total").inc(fresh)
         say(f"{task_name}: done")
 
     telemetry_emit("campaign.start", tasks=len(tasks))
@@ -777,7 +717,7 @@ def _run_campaign_impl(
             if not parallel:
                 n_processes = 1
                 _, failures = run_supervised_serial(
-                    payloads, _run_campaign_task, policy=policy, on_result=on_result
+                    payloads, execute_cell, policy=policy, on_result=on_result
                 )
             else:
                 if processes is not None:
@@ -786,7 +726,7 @@ def _run_campaign_impl(
                     n_processes = min(len(todo), max(1, os.cpu_count() or 1))
                 _, failures = run_supervised(
                     payloads,
-                    _run_campaign_task,
+                    execute_cell,
                     policy=policy,
                     max_workers=n_processes,
                     mp_context=multiprocessing.get_context("spawn"),
@@ -799,7 +739,7 @@ def _run_campaign_impl(
         if plan_publisher is not None:
             plan_publisher.unlink()
 
-    if tier_mode:
+    if store_path is not None:
         # the campaign's writers have closed their shards; fold the
         # cooled ones (and any previous packs) into one indexed pack so
         # the next campaign loads its contexts with indexed queries

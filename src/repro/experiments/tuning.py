@@ -11,16 +11,17 @@ results are cached twice:
   recalibration invalidates stale entries.  Set ``REPRO_NO_DISK_CACHE=1``
   to disable.
 
-Tuning runs additionally share a persistent genome->fitness store
-(``.repro_cache/evaluations.jsonl``, see ``docs/PERFORMANCE.md``): even
-when the GA must run (e.g. a changed budget invalidates the result
-cache), genomes already simulated under the same evaluation context are
-recalled instead of re-simulated.
+Tuning runs additionally share a persistent genome->fitness store tier
+(``.repro_cache/evaluations.tier``, see ``docs/PERFORMANCE.md``) with
+``repro campaign``: even when the GA must run (e.g. a changed budget
+invalidates the result cache), genomes already simulated under the same
+evaluation context are recalled instead of re-simulated.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 from typing import Dict, Optional
 
 import repro
@@ -91,20 +92,24 @@ def clear_tuning_cache(disk: bool = False) -> None:
         root = _cache_dir()
         if root is not None:
             for entry in os.listdir(root):
-                if entry.endswith(".json") or entry == _STORE_FILENAME:
+                if entry.endswith(".json"):
                     os.remove(os.path.join(root, entry))
+            shutil.rmtree(os.path.join(root, _STORE_NAME), ignore_errors=True)
 
 
-#: shared genome->fitness store; entries are context-keyed, so every
-#: task/seed combination can safely share the one file.
-_STORE_FILENAME = "evaluations.jsonl"
+#: shared genome->fitness store tier; entries are context-keyed, so
+#: every task/seed combination — and ``repro campaign`` — can safely
+#: share the one tier.
+_STORE_NAME = "evaluations.tier"
 
 
 def _store_path() -> Optional[str]:
+    """The default store tier under the cache directory (None when the
+    disk cache is off)."""
     root = _cache_dir()
     if root is None:
         return None
-    return os.path.join(root, _STORE_FILENAME)
+    return os.path.join(root, _STORE_NAME)
 
 
 def tuned_heuristic(

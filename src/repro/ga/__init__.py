@@ -31,7 +31,7 @@ from repro.ga.operators_extra import (
     ArithmeticCrossover,
     BoundaryMutation,
 )
-from repro.ga.parallel import SerialEvaluator, BatchEvaluator, MultiprocessEvaluator
+from repro.ga.parallel import SerialEvaluator, BatchEvaluator
 from repro.ga.checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "BoundaryMutation",
     "SerialEvaluator",
     "BatchEvaluator",
-    "MultiprocessEvaluator",
     "save_checkpoint",
     "load_checkpoint",
 ]

@@ -19,9 +19,11 @@ cost with six cooperating tiers (see ``docs/PERFORMANCE.md``):
    the program-level plan signature.
 3. **Persistent evaluation store** (:mod:`repro.perf.store`) — an
    on-disk genome -> fitness store keyed by an evaluation-context
-   fingerprint, shared by the fitness cache, multiprocess workers,
-   checkpoint resume and the benchmark scripts, so no configuration is
-   ever simulated twice across process restarts.
+   fingerprint, shared by the fitness cache, checkpoint resume and the
+   benchmark scripts, so no configuration is ever simulated twice across
+   process restarts.  Its sharded form, the store tier
+   (:mod:`repro.perf.storetier`), is what campaign and service workers
+   share.
 4. **Generation batching** (:mod:`repro.perf.batch`) — whole GA
    generations resolve against the region cache in one broadcast match,
    deduplicate by plan signature across genomes before any simulation,
@@ -35,13 +37,13 @@ cost with six cooperating tiers (see ``docs/PERFORMANCE.md``):
    once per distinct parameter region with the traced plan fanned out
    to every genome the region covers.
 6. **Zero-copy transport and compiled kernels** (:mod:`repro.perf.shm`,
-   :mod:`repro.perf.native`) — workload archives and genome/result
-   shuttles live in named ``multiprocessing.shared_memory`` segments
-   that pool workers map read-only instead of rebuilding after a
-   pickle, and the serial-by-construction invocation propagation runs
-   as a compiled kernel (numba, or a ``cc``-built C extension) chosen
-   through the graceful-degradation ladder compiled -> numpy -> serial
-   memoized -> reference; a missing compiler never breaks a run.
+   :mod:`repro.perf.native`) — workload and plan archives live in
+   named ``multiprocessing.shared_memory`` segments that pool workers
+   map read-only instead of rebuilding after a pickle, and the
+   serial-by-construction invocation propagation runs as a ``cc``-built
+   C extension chosen through the graceful-degradation ladder cext ->
+   numpy -> serial memoized -> reference; a missing compiler never
+   breaks a run.
 
 All tiers are bitwise-exact: the accelerated paths reproduce the seed
 implementation's floating-point results to the last bit (enforced by
@@ -52,12 +54,7 @@ from repro.perf.adaptivekernel import AdaptiveBatchKernel
 from repro.perf.batch import GenerationBatchEvaluator, batched_cache_pressure
 from repro.perf.engine import AcceleratorStats, EvaluationAccelerator, aggregate_stats
 from repro.perf.plancache import MethodPlanCache
-from repro.perf.shm import (
-    GenomeShuttle,
-    SharedArraySegment,
-    WorkloadArchive,
-    shared_memory_supported,
-)
+from repro.perf.shm import SharedArraySegment, WorkloadArchive, shared_memory_supported
 from repro.perf.store import EvaluationStore, evaluation_context_key
 
 __all__ = [
@@ -65,7 +62,6 @@ __all__ = [
     "AdaptiveBatchKernel",
     "EvaluationAccelerator",
     "GenerationBatchEvaluator",
-    "GenomeShuttle",
     "MethodPlanCache",
     "SharedArraySegment",
     "WorkloadArchive",

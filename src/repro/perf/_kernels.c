@@ -1,10 +1,9 @@
 /* Compiled twins of the two scalar invocation-propagation loops.
  *
  * Built at runtime by repro/perf/native.py (cc -O2 -fPIC -shared) and
- * loaded through ctypes; numba compiles the same loops from their
- * Python twins when it is installed.  Both kernels replace pure-Python
- * scalar loops whose operation order is fully determined, so a C
- * double performs the identical IEEE-754 operation sequence and the
+ * loaded through ctypes.  Both kernels replace pure-Python scalar
+ * loops whose operation order is fully determined, so a C double
+ * performs the identical IEEE-754 operation sequence and the
  * results are bitwise equal to the interpreter's (no -ffast-math, no
  * reassociation).  NumPy reductions (ndarray.sum, np.dot) are *not*
  * reimplemented here: their pairwise/BLAS accumulation order is an

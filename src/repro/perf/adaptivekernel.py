@@ -145,7 +145,7 @@ class AdaptiveBatchKernel:
         When a compiled kernel backend is resolved
         (:mod:`repro.perf.native`), the whole propagation runs as one
         compiled call instead — each representative executes the serial
-        reference's scalar chain in C/numba doubles, which performs the
+        reference's scalar chain in C doubles, which performs the
         identical IEEE-754 operation sequence, so the result is the
         same bits either way.  A kernel infrastructure failure falls
         back to the numpy path below and disables the backend for this

@@ -8,8 +8,8 @@ per-column propagation chains.  This module compiles those loops and
 selects an implementation at runtime through the graceful-degradation
 ladder the rest of the perf stack already follows::
 
-    compiled (numba, else a cc-built C extension) -> numpy -> serial
-    memoized -> reference
+    cext (a cc-built C extension) -> numpy -> serial memoized ->
+    reference
 
 A missing compiler never breaks a run: resolution failures of any kind
 yield ``None`` and the callers keep their NumPy/Python paths.  The
@@ -19,7 +19,7 @@ layer (``perf.backend_selected`` event and the
 
 **Bitwise identity is the contract**, exactly as for every other rung:
 the compiled kernels replace only *scalar* loops whose operation order
-is fully determined, where a C (or numba-jitted) double performs the
+is fully determined, where a C double performs the
 identical IEEE-754 operation sequence as the interpreter.  NumPy
 reductions (``ndarray.sum``, ``np.dot``) are never reimplemented here —
 their pairwise/BLAS accumulation order is an implementation detail the
@@ -27,10 +27,10 @@ repo must reproduce, so :func:`repro.perf.batch.batched_cache_pressure`
 and every other reduction stay in NumPy regardless of the backend.
 
 Selection is overridable with the ``REPRO_KERNEL_BACKEND`` environment
-variable: ``auto`` (default), ``numba``, ``cext`` (force one compiled
-rung; resolution still degrades to ``None`` when it is unavailable) or
-``numpy`` (disable compiled kernels entirely — the CI leg without
-numba pins this to prove clean degradation).
+variable: ``auto`` (default), ``cext`` (force the compiled rung;
+resolution still degrades to ``None`` when it is unavailable) or
+``numpy`` (disable compiled kernels entirely — a CI leg pins this to
+prove clean degradation).
 
 The C extension is built on demand — ``cc -O2 -fPIC -shared`` into a
 per-user cache directory keyed by the source hash — and loaded through
@@ -71,7 +71,7 @@ ENV_BACKEND = "REPRO_KERNEL_BACKEND"
 ENV_CACHE = "REPRO_KERNEL_CACHE"
 
 #: ladder order of the compiled rungs
-_COMPILED_RUNGS = ("numba", "cext")
+_COMPILED_RUNGS = ("cext",)
 
 _MISSING_VERSION = (
     "method {mid} of {name!r} is invoked but has no compiled version"
@@ -142,7 +142,7 @@ def _build_shared_object() -> Optional[str]:
 class KernelBackend:
     """One resolved compiled implementation of the two kernels.
 
-    ``name`` is the rung ("numba" or "cext").  Both entry points take
+    ``name`` is the rung ("cext").  Both entry points take
     contiguous arrays, run the compiled loop and raise the reference's
     :class:`~repro.errors.SimulationError` on a missing compiled
     version; any *infrastructure* failure (a bad load, an interface
@@ -447,175 +447,7 @@ def _load_cext() -> Optional[KernelBackend]:
     return KernelBackend("cext", opt, adaptive, opt_blocked, adaptive_blocked)
 
 
-# ----------------------------------------------------------------------
-# numba rung: jitted twins of the same loops
-# ----------------------------------------------------------------------
-def _load_numba() -> Optional[KernelBackend]:
-    try:
-        import numba
-    except ImportError:
-        return None
-
-    @numba.njit(cache=True)
-    def _opt(n_reps, n_methods, entry_id, resolved, self_rate,
-             edge_offsets, edge_callees, edge_rates, counts):
-        for r in range(n_reps):
-            for m in range(n_methods):
-                counts[r, m] = 0.0
-            counts[r, entry_id] = 1.0
-            for mid in range(n_methods):
-                c = counts[r, mid]
-                if c <= 0.0:
-                    continue
-                entry = resolved[r, mid]
-                if entry < 0:
-                    return -(mid + 1)
-                sr = self_rate[entry]
-                if sr > 0.0:
-                    c = c / (1.0 - sr)
-                    counts[r, mid] = c
-                for k in range(edge_offsets[entry], edge_offsets[entry + 1]):
-                    counts[r, edge_callees[k]] += c * edge_rates[k]
-        return 0
-
-    @numba.njit(cache=True)
-    def _adaptive(n_reps, n_methods, entry_id, n_promoted, entry_matrix,
-                  promoted_slot, entry_self_rate, entry_offsets,
-                  entry_callees, entry_rates, base_present, base_self_rate,
-                  base_offsets, base_callees, base_rates, counts):
-        for r in range(n_reps):
-            for m in range(n_methods):
-                counts[r, m] = 0.0
-            counts[r, entry_id] = 1.0
-            for mid in range(n_methods):
-                c = counts[r, mid]
-                if c <= 0.0:
-                    continue
-                slot = promoted_slot[mid]
-                if slot >= 0:
-                    e = entry_matrix[r, slot]
-                    if e < 0:
-                        return -(mid + 1)
-                    sr = entry_self_rate[e]
-                    lo = entry_offsets[e]
-                    hi = entry_offsets[e + 1]
-                    promoted = True
-                else:
-                    if base_present[mid] == 0:
-                        return -(mid + 1)
-                    sr = base_self_rate[mid]
-                    lo = base_offsets[mid]
-                    hi = base_offsets[mid + 1]
-                    promoted = False
-                if sr > 0.0:
-                    c = c / (1.0 - sr)
-                    counts[r, mid] = c
-                if promoted:
-                    for k in range(lo, hi):
-                        counts[r, entry_callees[k]] += c * entry_rates[k]
-                else:
-                    for k in range(lo, hi):
-                        counts[r, base_callees[k]] += c * base_rates[k]
-        return 0
-
-    @numba.njit(cache=True)
-    def _opt_blocked(n_reps, n_methods, entry_id, block, resolved,
-                     self_rate, edge_offsets, edge_callees, edge_rates,
-                     scratch, counts):
-        for b0 in range(0, n_reps, block):
-            bw = min(block, n_reps - b0)
-            for m in range(n_methods):
-                for r in range(bw):
-                    scratch[m, r] = 0.0
-            for r in range(bw):
-                scratch[entry_id, r] = 1.0
-            for mid in range(n_methods):
-                for r in range(bw):
-                    c = scratch[mid, r]
-                    if c <= 0.0:
-                        continue
-                    entry = resolved[b0 + r, mid]
-                    if entry < 0:
-                        return -(mid + 1)
-                    sr = self_rate[entry]
-                    if sr > 0.0:
-                        c = c / (1.0 - sr)
-                        scratch[mid, r] = c
-                    for k in range(edge_offsets[entry], edge_offsets[entry + 1]):
-                        scratch[edge_callees[k], r] += c * edge_rates[k]
-            for r in range(bw):
-                for m in range(n_methods):
-                    counts[b0 + r, m] = scratch[m, r]
-        return 0
-
-    @numba.njit(cache=True)
-    def _adaptive_blocked(n_reps, n_methods, entry_id, n_promoted, block,
-                          entry_matrix, promoted_slot, entry_self_rate,
-                          entry_offsets, entry_callees, entry_rates,
-                          base_present, base_self_rate, base_offsets,
-                          base_callees, base_rates, scratch, counts):
-        for b0 in range(0, n_reps, block):
-            bw = min(block, n_reps - b0)
-            for m in range(n_methods):
-                for r in range(bw):
-                    scratch[m, r] = 0.0
-            for r in range(bw):
-                scratch[entry_id, r] = 1.0
-            for mid in range(n_methods):
-                slot = promoted_slot[mid]
-                for r in range(bw):
-                    c = scratch[mid, r]
-                    if c <= 0.0:
-                        continue
-                    if slot >= 0:
-                        e = entry_matrix[b0 + r, slot]
-                        if e < 0:
-                            return -(mid + 1)
-                        sr = entry_self_rate[e]
-                        lo = entry_offsets[e]
-                        hi = entry_offsets[e + 1]
-                        promoted = True
-                    else:
-                        if base_present[mid] == 0:
-                            return -(mid + 1)
-                        sr = base_self_rate[mid]
-                        lo = base_offsets[mid]
-                        hi = base_offsets[mid + 1]
-                        promoted = False
-                    if sr > 0.0:
-                        c = c / (1.0 - sr)
-                        scratch[mid, r] = c
-                    if promoted:
-                        for k in range(lo, hi):
-                            scratch[entry_callees[k], r] += c * entry_rates[k]
-                    else:
-                        for k in range(lo, hi):
-                            scratch[base_callees[k], r] += c * base_rates[k]
-            for r in range(bw):
-                for m in range(n_methods):
-                    counts[b0 + r, m] = scratch[m, r]
-        return 0
-
-    def opt_fn(n_reps, n_methods, entry_id, resolved, self_rate,
-               edge_offsets, edge_callees, edge_rates, counts):
-        return _opt(n_reps, n_methods, entry_id, resolved, self_rate,
-                    edge_offsets, edge_callees, edge_rates, counts)
-
-    def adaptive_fn(*args):
-        return _adaptive(*args)
-
-    def opt_blocked_fn(*args):
-        return _opt_blocked(*args)
-
-    def adaptive_blocked_fn(*args):
-        return _adaptive_blocked(*args)
-
-    return KernelBackend(
-        "numba", opt_fn, adaptive_fn, opt_blocked_fn, adaptive_blocked_fn
-    )
-
-
-_LOADERS = {"numba": _load_numba, "cext": _load_cext}
+_LOADERS = {"cext": _load_cext}
 
 #: per-process resolution cache: {rung: backend-or-None}
 _RUNG_CACHE: dict = {}
@@ -666,7 +498,7 @@ def get_backend() -> Optional[KernelBackend]:
     """The process-wide compiled backend, or None (= numpy rung).
 
     Resolution order: ``REPRO_KERNEL_BACKEND`` override first, then
-    numba, then the cc-built C extension.  Resolved once per process;
+    the cc-built C extension.  Resolved once per process;
     the choice is announced through telemetry on first resolution.
     """
     global _SELECTED

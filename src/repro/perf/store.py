@@ -5,19 +5,23 @@ fitness that a full simulation of that genome produced, plus optional
 per-benchmark detail.  The *context* is a fingerprint of everything that
 determines the number — machine model, scenario, metric, cost model,
 parameter space and the training programs' content hashes — so a store
-file can be shared between tuning runs, multiprocess workers (as a
-read-only snapshot), checkpoint resume and the benchmark scripts without
-ever serving a stale value.
+file can be shared between tuning runs, checkpoint resume and the
+benchmark scripts without ever serving a stale value.
+
+A single-file store has exactly one writer, the process that opened
+it; it refuses to pickle.  Anything that evaluates in several processes
+(campaign pools, the service daemon) uses the sharded store tier
+(:mod:`repro.perf.storetier`), and ``repro store migrate`` imports a
+single-file store into one.
 
 Layout: one JSON object per line, ``{"ctx": ..., "genome": [...],
 "fitness": ..., "per": {...}?}``.  Appends are atomic at line
 granularity.
 
 Crash safety: a crash mid-append leaves a *torn* trailing line.  On
-load, a writable store truncates the file back to the last intact line
-and records the repair in :attr:`repair_log` (also emitted through the
-``repro.perf.store`` logger); a read-only store skips the torn bytes
-without touching the file.  Unparsable lines elsewhere in the file are
+load, the store truncates the file back to the last intact line and
+records the repair in :attr:`repair_log` (also emitted through the
+``repro.perf.store`` logger).  Unparsable lines elsewhere in the file are
 foreign garbage — skipped and logged, never deleted.
 
 Durability: appends are buffered and flushed + ``fsync``'d every
@@ -104,13 +108,6 @@ def evaluation_context_key(
 class EvaluationStore:
     """On-disk genome -> fitness store for one evaluation context.
 
-    ``readonly=True`` turns the store into a buffered reader for worker
-    processes under single-writer discipline: lookups serve the on-disk
-    entries as usual, but :meth:`record` never touches the file —
-    records accumulate in memory (and serve same-process lookups) until
-    the coordinating process collects them with :meth:`drain_pending`
-    and replays them into its own writable store.
-
     ``flush_every`` sets the durability/throughput trade-off described
     in the module docstring.
     """
@@ -119,14 +116,12 @@ class EvaluationStore:
         self,
         path: str,
         context: str = "default",
-        readonly: bool = False,
         flush_every: int = DEFAULT_FLUSH_EVERY,
     ) -> None:
         if flush_every < 1:
             raise GAError(f"flush_every must be >= 1, got {flush_every}")
         self.path = path
         self.context = context
-        self.readonly = readonly
         self.flush_every = flush_every
         self.hits = 0
         self.misses = 0
@@ -134,7 +129,6 @@ class EvaluationStore:
         self.repair_log: List[str] = []
         self._entries: Dict[Genome, float] = {}
         self._extras: Dict[Genome, dict] = {}
-        self._pending: List[Tuple[Genome, float, Optional[dict]]] = []
         self._handle = None
         self._unflushed = 0
         self._finalizer = None
@@ -208,24 +202,19 @@ class EvaluationStore:
                 self._extras[genome] = extras
 
     def _repair_tear(self, offset: int, length: int, good_end: int) -> None:
-        """Handle a torn trailing line found at *offset* during load."""
-        if self.readonly:
-            action = "skipped-torn-line"
-            event = (
-                f"skipped torn trailing line at byte {offset} ({length} bytes); "
-                "read-only store leaves the file untouched"
-            )
-        else:
-            os.truncate(self.path, good_end)
-            action = "truncated-torn-line"
-            event = (
-                f"truncated torn trailing line at byte {offset} "
-                f"({length} bytes dropped; crash mid-append)"
-            )
+        """Truncate a torn trailing line found at *offset* during load."""
+        os.truncate(self.path, good_end)
+        event = (
+            f"truncated torn trailing line at byte {offset} "
+            f"({length} bytes dropped; crash mid-append)"
+        )
         self.repair_log.append(event)
         _log.warning("evaluation store %s: %s", self.path, event)
         telemetry_emit(
-            "store.repair", action=action, offset=offset, bytes=length
+            "store.repair",
+            action="truncated-torn-line",
+            offset=offset,
+            bytes=length,
         )
 
     # ------------------------------------------------------------------
@@ -265,9 +254,6 @@ class EvaluationStore:
         self._entries[key] = fitness
         if per_benchmark:
             self._extras[key] = dict(per_benchmark)
-        if self.readonly:
-            self._pending.append((key, fitness, dict(per_benchmark) if per_benchmark else None))
-            return
         record = {"ctx": self.context, "genome": list(key), "fitness": fitness}
         if per_benchmark:
             record["per"] = dict(per_benchmark)
@@ -332,21 +318,6 @@ class EvaluationStore:
         key = genome if type(genome) is tuple else tuple(int(g) for g in genome)
         return self._extras.get(key)
 
-    # ------------------------------------------------------------------
-    def drain_pending(self) -> List[Tuple[Genome, float, Optional[dict]]]:
-        """Take (and clear) the records buffered in readonly mode.
-
-        Each item is ``(genome, fitness, per_benchmark_or_None)``,
-        ready for :meth:`record` on the coordinator's writable store.
-        """
-        pending = self._pending
-        self._pending = []
-        return pending
-
-    def snapshot(self) -> Dict[Genome, float]:
-        """Immutable-by-convention copy for worker initializers."""
-        return dict(self._entries)
-
     @property
     def size(self) -> int:
         """Number of persisted genomes in this context."""
@@ -392,17 +363,8 @@ class EvaluationStore:
         self.close()
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_handle"] = None  # file handles don't pickle; reopen lazily
-        state["_unflushed"] = 0
-        state["_finalizer"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        # A pickled store always lands in another process (pool worker,
-        # checkpoint restore) — never the single writer.  Re-assert
-        # readonly so a lazily reopened handle can only buffer to
-        # ``_pending``, preserving the single-writer discipline even
-        # for a store that was writable on the pickling side.
-        self.readonly = True
+        raise TypeError(
+            "a single-file EvaluationStore is single-process and does not "
+            "pickle; share evaluations between processes through a store "
+            "tier (repro.perf.storetier)"
+        )

@@ -1,11 +1,11 @@
 """Sharded, content-addressed evaluation-store tier.
 
-The single-file :class:`~repro.perf.store.EvaluationStore` serializes
-every append through one writer: campaign workers buffer records in
-memory, ship them back with their results, and the coordinator replays
-them — re-reading the whole JSONL file per merge — under single-writer
-discipline.  That round-trip is the storage ceiling for running many
-concurrent campaigns against one accumulated body of evaluations.
+The store tier is the one protocol through which several processes
+share evaluations: campaign pool workers, service-daemon workers and
+any later tuning run append to it concurrently, and every one of them
+reads what the others persisted.  The single-file
+:class:`~repro.perf.store.EvaluationStore` stays for single-process
+use and as the import format of ``repro store migrate``.
 
 This module promotes the store to a *tier*: a directory whose records
 are content-addressed by ``(evaluation context, genome)`` and spread
@@ -13,8 +13,8 @@ over many files, so that
 
 * **N writers append without coordination** — every process owns a
   private active shard (a JSONL file created with ``O_EXCL``) and
-  appends durable records directly; there is no pending buffer and no
-  coordinator funnel.  Record identity is the 64-bit
+  appends durable records directly; nothing funnels through a
+  coordinator.  Record identity is the 64-bit
   :func:`record_key` hash of ``ctx|genome``; duplicate appends of the
   same record by racing writers are idempotent by construction (same
   key, same fitness — later loads collapse them).
@@ -161,29 +161,20 @@ def is_tier_path(path: Optional[str]) -> bool:
     return os.path.exists(os.path.join(path, TIER_MARKER))
 
 
-def open_store(
-    path: str,
-    context: str,
-    readonly: bool = False,
-    flush_every: Optional[int] = None,
-):
+def open_store(path: str, context: str, flush_every: Optional[int] = None):
     """Open the right store implementation for *path*.
 
     Directories (and ``*.tier`` paths) open as a :class:`TierStore`
-    bound to *context*; anything else opens the legacy single-file
-    :class:`~repro.perf.store.EvaluationStore`.  ``readonly`` only
-    matters for the legacy store — tier writers are per-process shards,
-    so every :class:`TierStore` may append without coordination.
+    bound to *context*; anything else opens the single-file
+    :class:`~repro.perf.store.EvaluationStore`, whose one writer is the
+    calling process.
     """
     if is_tier_path(path):
         return TierStore(path, context=context, flush_every=flush_every)
     from repro.perf.store import DEFAULT_FLUSH_EVERY, EvaluationStore
 
     return EvaluationStore(
-        path,
-        context=context,
-        readonly=readonly,
-        flush_every=flush_every or DEFAULT_FLUSH_EVERY,
+        path, context=context, flush_every=flush_every or DEFAULT_FLUSH_EVERY
     )
 
 
@@ -325,6 +316,22 @@ class _ShardWriter:
         if self._unflushed:
             telemetry_emit("store.flush", records=self._unflushed)
         self._unflushed = 0
+
+    def tear(self, record: dict) -> None:
+        """Simulate a crash mid-append (the ``torn-write`` fault site):
+        only a prefix of *record*'s line reaches the shard, which is
+        then abandoned unlocked and without a bloom sidecar, exactly as
+        a killed writer leaves it.  Loads skip the torn tail and
+        compaction drops it."""
+        line = json.dumps(record) + "\n"
+        self._handle.write(line[: max(1, len(line) // 2)])
+        self.flush()
+        self._finalizer.detach()
+        self._handle.close()
+        try:
+            os.remove(self.lock_path)
+        except OSError:  # pragma: no cover - already reaped
+            pass
 
     def close(self) -> None:
         if self._handle.closed:
@@ -872,14 +879,12 @@ class TierStore:
 
     Drop-in for :class:`~repro.perf.store.EvaluationStore` wherever the
     GA stack touches a store (:class:`~repro.ga.fitness.FitnessCache`,
-    :class:`~repro.ga.engine.GAEngine`, checkpoints,
-    :class:`~repro.ga.parallel.MultiprocessEvaluator` snapshots), with
-    two deliberate differences:
+    :class:`~repro.ga.engine.GAEngine`, checkpoints), with two
+    deliberate differences:
 
     * **every instance may write.**  Appends go straight to a private
-      shard — durable immediately, no readonly buffering, no
-      ``drain_pending`` round-trip (it always returns ``[]``).  The
-      ``appended`` counter reports what this instance persisted.
+      shard, durable immediately.  The ``appended`` counter reports
+      what this instance persisted.
     * **pickles re-open lazily.**  A copy landing in a worker process
       builds its own shard writer on first append; the entries map
       travels with the pickle, so lookups need no disk access.
@@ -893,14 +898,12 @@ class TierStore:
         path: str,
         context: str = "default",
         flush_every: Optional[int] = None,
-        readonly: bool = False,  # accepted for signature compatibility
     ) -> None:
         flush_every = flush_every or self.DEFAULT_FLUSH_EVERY
         if flush_every < 1:
             raise GAError(f"flush_every must be >= 1, got {flush_every}")
         self.path = path
         self.context = context
-        self.readonly = False  # tier stores always append shard-locally
         self.flush_every = flush_every
         self.tier = StoreTier(path)
         self.hits = 0
@@ -967,17 +970,21 @@ class TierStore:
             self._writer = _ShardWriter(
                 self.tier.shards_dir, flush_every=self.flush_every
             )
-        self._writer.append(record)
+        from repro.resilience.faults import get_fault_injector
+
+        injector = get_fault_injector()
+        if injector is not None and injector.should_fire(
+            "torn-write", key=str(list(key))
+        ):
+            # the record survives in memory; the next append opens a
+            # fresh shard instead of gluing onto the torn bytes
+            self._writer.tear(record)
+            self._writer = None
+        else:
+            self._writer.append(record)
         self.appended += 1
 
-    # -- compatibility surface -----------------------------------------
-    def drain_pending(self) -> List[Tuple[Genome, float, Optional[dict]]]:
-        """Tier appends are direct; nothing ever buffers."""
-        return []
-
-    def snapshot(self) -> Dict[Genome, float]:
-        return dict(self._entries)
-
+    # -- the EvaluationStore surface -------------------------------------
     @property
     def size(self) -> int:
         return len(self._entries)

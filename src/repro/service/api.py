@@ -60,6 +60,7 @@ class _Handler(socketserver.StreamRequestHandler):
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
+            payload = None
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -82,6 +83,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError):
                 return
+            after_reply = self.server.after_reply  # type: ignore[attr-defined]
+            if after_reply is not None and isinstance(payload, dict):
+                after_reply(payload, response)
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -98,10 +102,14 @@ class ApiServer:
         dispatch: Callable[[dict], dict],
         host: str = "127.0.0.1",
         port: int = 0,
+        after_reply: Optional[Callable[[dict, dict], None]] = None,
     ) -> None:
         self.state_dir = state_dir
         self._server = _Server((host, port), _Handler)
         self._server.dispatch = dispatch  # type: ignore[attr-defined]
+        #: called with (request, response) once a response is flushed
+        #: to the client — e.g. to start a shutdown only after its ack
+        self._server.after_reply = after_reply  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
     @property

@@ -86,10 +86,17 @@ class ServiceDaemon:
             quota=quota,
             events=self._on_scheduler_event,
         )
-        self.api = ApiServer(state_dir, self._dispatch, host=host, port=port)
+        self.api = ApiServer(
+            state_dir,
+            self._dispatch,
+            host=host,
+            port=port,
+            after_reply=self._after_reply,
+        )
         self._admission_lock = threading.Lock()
         self._draining = False
         self._stop_event = threading.Event()
+        self._stop_lock = threading.Lock()
         self._stopped = False
         #: in-memory admission clocks for advisory deadline reporting
         #: (reset on restart — deadlines are bookkeeping, not scheduling)
@@ -122,7 +129,8 @@ class ServiceDaemon:
             registry.counter("repro_service_pool_rebuilds_total").inc(0)
 
     def serve_forever(self) -> None:
-        """Run until SIGTERM/SIGINT, then drain and shut down."""
+        """Run until SIGTERM/SIGINT or an acknowledged ``shutdown``
+        request, then drain and shut down — the one stop path."""
 
         def _request_stop(signum, frame) -> None:
             self._stop_event.set()
@@ -134,22 +142,27 @@ class ServiceDaemon:
         self.stop()
 
     def stop(self) -> None:
-        """Graceful drain: finish in-flight work, persist, tear down."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self._draining = True
-        self._session_emit(
-            "service.drain", inflight=self.scheduler.inflight_count()
-        )
-        self.scheduler.stop()
-        self.api.stop()
-        self.scheduler.compact_store()
-        session = telemetry_get_session()
-        if session is not None:
-            session.export_prometheus()
-        if self.telemetry_dir is not None:
-            telemetry_shutdown()
+        """Graceful drain: finish in-flight work, persist, tear down.
+
+        Idempotent and thread-safe: the first call tears down, later
+        or concurrent calls return once that teardown has finished.
+        """
+        with self._stop_lock:
+            if self._stopped:
+                return
+            self._stopped = True
+            self._draining = True
+            self._session_emit(
+                "service.drain", inflight=self.scheduler.inflight_count()
+            )
+            self.scheduler.stop()
+            self.api.stop()
+            self.scheduler.compact_store()
+            session = telemetry_get_session()
+            if session is not None:
+                session.export_prometheus()
+            if self.telemetry_dir is not None:
+                telemetry_shutdown()
 
     # -- telemetry -----------------------------------------------------
     def _registry(self):
@@ -409,8 +422,10 @@ class ServiceDaemon:
         return {"ok": True, "draining": True}
 
     def _op_shutdown(self, payload: dict) -> dict:
-        # ack first; the actual stop happens off the request thread so
-        # the client gets its response before the server goes away
-        self._stop_event.set()
-        threading.Thread(target=self.stop, daemon=True).start()
+        # only the ack here: _after_reply wakes serve_forever once the
+        # ack has reached the client, so the drain never races it
         return {"ok": True, "stopping": True}
+
+    def _after_reply(self, request: dict, response: dict) -> None:
+        if request.get("op") == "shutdown" and response.get("ok"):
+            self._stop_event.set()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import time
+
 import pytest
 
 from repro.errors import CampaignError, ConfigurationError
@@ -12,6 +15,8 @@ from repro.experiments.campaign import (
     run_campaign,
 )
 from repro.ga.engine import GAConfig
+from repro.perf.store import EvaluationStore
+from repro.perf.storetier import StoreTier, is_tier_path
 
 TINY_GA = GAConfig(population_size=6, generations=2, seed=0)
 
@@ -44,7 +49,7 @@ class TestRunCampaign:
             run_campaign(tasks=tasks + tasks, ga_config=TINY_GA)
 
     def test_serial_campaign_shares_one_store(self, tmp_path):
-        store_path = str(tmp_path / "evals.jsonl")
+        store_path = str(tmp_path / "evals.tier")
         tasks = grid_tasks(machines=["pentium4"], scenarios=["adapt", "opt"])
         lines = []
         result = run_campaign(
@@ -58,13 +63,15 @@ class TestRunCampaign:
         assert result.processes == 1
         assert [r.task_name for r in result.results] == [t.name for t in tasks]
         assert result.total_evaluations > 0
-        # single-writer: every simulated genome was persisted by the
-        # coordinator
+        # every simulated genome was appended to the tier by its cell
         assert result.total_new_records == result.total_evaluations
-        assert len(lines) == len(tasks)
+        assert [line for line in lines if line.endswith(": done")] == [
+            f"{t.name}: done" for t in tasks
+        ]
+        assert lines[-1].startswith("store tier: compacted")
 
     def test_second_run_answers_entirely_from_store(self, tmp_path):
-        store_path = str(tmp_path / "evals.jsonl")
+        store_path = str(tmp_path / "evals.tier")
         tasks = grid_tasks(machines=["pentium4"], scenarios=["adapt", "opt"])
         first = run_campaign(
             tasks, ga_config=TINY_GA, store_path=store_path, serial=True
@@ -85,12 +92,67 @@ class TestRunCampaign:
         assert result.total_new_records == 0
         assert result.results[0].context is None
 
+    def test_single_file_store_is_refused_with_the_migrate_hint(self, tmp_path):
+        legacy = tmp_path / "evals.jsonl"
+        with EvaluationStore(str(legacy), context="ctx") as store:
+            store.record((1, 2, 3, 4, 5), 0.5)
+        tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
+        with pytest.raises(ConfigurationError, match="repro store migrate"):
+            run_campaign(tasks, ga_config=TINY_GA, store_path=str(legacy))
+
+    def test_missing_store_path_is_created_as_a_tier(self, tmp_path):
+        root = tmp_path / "fresh" / "store"
+        tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
+        result = run_campaign(
+            tasks, ga_config=TINY_GA, store_path=str(root), serial=True
+        )
+        assert is_tier_path(str(root)) and root.is_dir()
+        assert sum(StoreTier(str(root)).contexts().values()) == (
+            result.total_new_records
+        )
+
+    def test_wall_seconds_counts_the_set_up(self, tmp_path, monkeypatch):
+        """A slow plan-publisher start (the persisted-plan load) is part
+        of the campaign's wall time, not hidden before the clock."""
+        from repro.perf import planshare
+        from repro.perf.shm import WorkloadArchive
+        from repro.resilience import run_supervised_serial
+
+        delay = 1.0
+
+        def slow_publisher(self, *args, **kwargs):
+            time.sleep(delay)
+            raise RuntimeError("publisher degraded")  # campaign carries on
+
+        def no_archive(*args, **kwargs):
+            raise OSError("no shared memory")
+
+        def in_process(payloads, fn, policy, on_result, **_pool_options):
+            return run_supervised_serial(
+                payloads, fn, policy=policy, on_result=on_result
+            )
+
+        monkeypatch.setattr(planshare.PlanSharePublisher, "__init__", slow_publisher)
+        monkeypatch.setattr(WorkloadArchive, "publish", no_archive)
+        monkeypatch.setattr(
+            "repro.experiments.campaign.run_supervised", in_process
+        )
+        tasks = grid_tasks(machines=["pentium4"], scenarios=["adapt", "opt"])
+        began = time.perf_counter()
+        result = run_campaign(
+            tasks, ga_config=TINY_GA, store_path=str(tmp_path / "evals.tier")
+        )
+        elapsed = time.perf_counter() - began
+        assert result.ok
+        assert result.wall_seconds >= delay
+        assert result.wall_seconds > elapsed - delay / 2
+
     def test_accelerator_totals_aggregated(self, tmp_path):
         tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
         result = run_campaign(
             tasks,
             ga_config=TINY_GA,
-            store_path=str(tmp_path / "evals.jsonl"),
+            store_path=str(tmp_path / "evals.tier"),
             serial=True,
         )
         totals = result.accelerator_totals()
@@ -104,13 +166,13 @@ class TestRunCampaign:
         serial = run_campaign(
             tasks,
             ga_config=TINY_GA,
-            store_path=str(tmp_path / "serial.jsonl"),
+            store_path=str(tmp_path / "serial.tier"),
             serial=True,
         )
         parallel = run_campaign(
             tasks,
             ga_config=TINY_GA,
-            store_path=str(tmp_path / "parallel.jsonl"),
+            store_path=str(tmp_path / "parallel.tier"),
             processes=2,
         )
         assert parallel.processes == 2
@@ -127,7 +189,7 @@ class TestCampaignStrategies:
         result = run_campaign(
             tasks,
             ga_config=TINY_GA,
-            store_path=str(tmp_path / "evals.jsonl"),
+            store_path=str(tmp_path / "evals.tier"),
             serial=True,
             strategy="cmaes",
         )
@@ -174,9 +236,12 @@ class TestCampaignStrategies:
         assert resumed.total_evaluations == 0  # every cell answered by skip
 
     def test_cell_request_payload_strategy_roundtrip(self):
+        """The CellRequest is the pool payload: the strategy survives
+        the pickle that ships it to a spawned worker."""
         tasks = grid_tasks(machines=["pentium4"], scenarios=["opt"])
-        base = (tasks[0], TINY_GA, None, 0, None, None, None, False)
-        legacy = CellRequest.from_payload(base)
-        assert legacy.strategy == "ga"
-        tagged = CellRequest.from_payload(base + ("bandit",))
-        assert tagged.strategy == "bandit"
+        default = CellRequest(task=tasks[0], ga_config=TINY_GA)
+        assert pickle.loads(pickle.dumps(default)).strategy == "ga"
+        tagged = CellRequest(task=tasks[0], ga_config=TINY_GA, strategy="bandit")
+        shipped = pickle.loads(pickle.dumps(tagged))
+        assert shipped.strategy == "bandit"
+        assert shipped.task.name == tagged.task.name

@@ -26,13 +26,11 @@ from repro.workloads.suites import SPECJVM98
 
 from tests.perf.test_equivalence import assert_reports_identical
 
-#: compiled rungs the host actually offers (numba and/or the cc-built
-#: C extension); empty on hosts with neither — those still run the
-#: reference / serial / numpy legs of the sweep
+#: the compiled rung when the host offers it (the cc-built C
+#: extension); empty on hosts without a C compiler — those still run
+#: the reference / serial / numpy legs of the sweep
 COMPILED_BACKENDS = [
-    backend
-    for backend in (native.backend_for("numba"), native.backend_for("cext"))
-    if backend is not None
+    backend for backend in (native.backend_for("cext"),) if backend is not None
 ]
 
 

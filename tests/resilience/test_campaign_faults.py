@@ -14,6 +14,7 @@ from repro.cli import build_parser, main
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.campaign import grid_tasks, run_campaign
 from repro.ga.engine import GAConfig
+from repro.perf.storetier import is_tier_path
 from repro.resilience import RetryPolicy
 from repro.resilience.faults import (
     FaultPlan,
@@ -34,7 +35,7 @@ class TestFaultedCampaignBitwise:
     def test_serial_faults_do_not_change_results(self, tmp_path):
         tasks = _tasks_1x2()
         baseline = run_campaign(
-            tasks, ga_config=TINY, store_path=str(tmp_path / "clean.jsonl"),
+            tasks, ga_config=TINY, store_path=str(tmp_path / "clean.tier"),
             serial=True,
         )
         install_fault_plan(
@@ -48,7 +49,7 @@ class TestFaultedCampaignBitwise:
             propagate=False,
         )
         faulted = run_campaign(
-            tasks, ga_config=TINY, store_path=str(tmp_path / "faulted.jsonl"),
+            tasks, ga_config=TINY, store_path=str(tmp_path / "faulted.tier"),
             serial=True, retry_policy=FAST,
         )
         assert faulted.ok
@@ -64,7 +65,7 @@ class TestFaultedCampaignBitwise:
         batch-kernel failure + task exception during a 2x2 campaign."""
         tasks = grid_tasks()  # 2 machines x 2 scenarios
         baseline = run_campaign(
-            tasks, ga_config=TINY, store_path=str(tmp_path / "clean.jsonl"),
+            tasks, ga_config=TINY, store_path=str(tmp_path / "clean.tier"),
             serial=True,
         )
         install_fault_plan(
@@ -79,7 +80,7 @@ class TestFaultedCampaignBitwise:
             )
         )
         faulted = run_campaign(
-            tasks, ga_config=TINY, store_path=str(tmp_path / "faulted.jsonl"),
+            tasks, ga_config=TINY, store_path=str(tmp_path / "faulted.tier"),
             processes=2, retry_policy=FAST,
         )
         assert faulted.ok, f"failures: {[str(f) for f in faulted.failures]}"
@@ -101,8 +102,8 @@ class TestCampaignResume:
         assert first.ok
         assert all(r.status == "done" for r in first.results)
         assert os.path.exists(os.path.join(campaign_dir, "manifest.json"))
-        # the campaign dir supplied the default shared store
-        assert os.path.exists(os.path.join(campaign_dir, "evaluations.jsonl"))
+        # the campaign dir supplied the default shared store tier
+        assert is_tier_path(os.path.join(campaign_dir, "store.tier"))
 
         second = run_campaign(
             tasks, ga_config=TINY, serial=True,
@@ -197,7 +198,7 @@ class TestCampaignCLI:
             [
                 "campaign", "--machines", "pentium4", "--scenarios", "opt",
                 "--serial", "--generations", "2", "--population", "6",
-                "--store", str(tmp_path / "s.jsonl"), "--retries", "1",
+                "--store", str(tmp_path / "s.tier"), "--retries", "1",
             ]
         )
         captured = capsys.readouterr()

@@ -43,13 +43,13 @@ class TestCheckpointPath:
 class TestManifestLifecycle:
     def test_create_load_round_trip(self, tmp_path):
         fp = campaign_fingerprint(NAMES, GA, 0)
-        manifest = CampaignManifest.create(str(tmp_path), fp, store_path="s.jsonl")
+        manifest = CampaignManifest.create(str(tmp_path), fp, store_path="s.tier")
         assert os.path.exists(manifest.path)
         assert os.path.isdir(os.path.join(str(tmp_path), "checkpoints"))
 
         loaded = CampaignManifest.load(str(tmp_path))
         assert loaded.fingerprint == fp
-        assert loaded.store_path == "s.jsonl"
+        assert loaded.store_path == "s.tier"
         assert loaded.cells == {}
 
     def test_record_done_persists_immediately(self, tmp_path):

@@ -37,16 +37,6 @@ class TestTornTrailingLine:
             data = handle.read()
         assert data == intact.encode() + b"\n"
 
-    def test_readonly_store_skips_without_touching_file(self, tmp_path):
-        path = str(tmp_path / "evals.jsonl")
-        _write_lines(path, _record_line("c", [1, 2], 0.5), torn_tail='{"ctx"')
-        size_before = os.path.getsize(path)
-
-        store = EvaluationStore(path, context="c", readonly=True)
-        assert store.get((1, 2)) == 0.5
-        assert any("read-only" in event for event in store.repair_log)
-        assert os.path.getsize(path) == size_before
-
     def test_torn_complete_trailing_line_is_also_repaired(self, tmp_path):
         # a crash can land exactly after a partial line plus newline from
         # a later writer's repair; an unparsable *last* line is treated

@@ -13,10 +13,12 @@ import os
 
 import pytest
 
+from repro.core.tuner import InliningTuner
 from repro.experiments.campaign import grid_tasks, run_campaign
 from repro.ga.engine import GAConfig
 from repro.perf.storetier import StoreTier, TierStore
 from repro.resilience import RetryPolicy
+from repro.workloads.suites import SPECJVM98
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
@@ -41,19 +43,29 @@ def _assert_bitwise(baseline, other):
 
 class TestTierCampaignParity:
     def test_tier_campaign_matches_legacy_store_campaign(self, tmp_path):
+        """A tier campaign tunes each cell exactly as a single-process
+        tune against a single-file store does."""
         tasks = _tasks_1x2()
-        baseline = run_campaign(
-            tasks, ga_config=TINY, store_path=str(tmp_path / "clean.jsonl"),
-            serial=True,
-        )
+        legacy_path = str(tmp_path / "clean.jsonl")
+        programs = SPECJVM98.programs(seed=0)
+        baseline = []
+        for task in tasks:
+            tuner = InliningTuner(TINY, store_path=legacy_path)
+            baseline.append(tuner.tune(task, programs))
         tiered = run_campaign(
             tasks, ga_config=TINY, store_path=str(tmp_path / "evals.tier"),
             serial=True,
         )
         assert tiered.ok
-        _assert_bitwise(baseline, tiered)
-        # the tier persisted every simulation the legacy store did
-        assert tiered.total_new_records == baseline.total_new_records
+        for clean, cell in zip(baseline, tiered.results):
+            assert cell.task_name == clean.task_name
+            assert cell.tuned.fitness == clean.fitness
+            assert cell.tuned.params == clean.params
+            assert cell.tuned.evaluations == clean.evaluations
+        # the tier persisted every simulation the single-file store did
+        with open(legacy_path, "r", encoding="utf-8") as handle:
+            legacy_records = sum(1 for line in handle if line.strip())
+        assert tiered.total_new_records == legacy_records
         assert tiered.total_new_records == tiered.total_evaluations
 
     def test_campaign_end_compacts_the_tier(self, tmp_path):

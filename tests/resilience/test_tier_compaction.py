@@ -16,6 +16,12 @@ import subprocess
 import sys
 
 from repro.perf.storetier import StoreTier, TierStore
+from repro.resilience.faults import (
+    FaultPlan,
+    FaultSpec,
+    clear_fault_plan,
+    install_fault_plan,
+)
 
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -90,6 +96,29 @@ class TestTornShardRepair:
         assert store.get((1,)) == 1.0
         assert store.repair_log
         store.close()
+
+    def test_torn_write_fault_abandons_the_shard(self, tmp_path):
+        """The ``torn-write`` fault site: the torn record stays served
+        in-process, later appends go to a fresh shard, and readers and
+        compaction see only the intact records."""
+        root = str(tmp_path / "tier")
+        install_fault_plan(
+            FaultPlan(sites={"torn-write": FaultSpec(max_fires=1)}),
+            propagate=False,
+        )
+        with TierStore(root, context="c") as store:
+            for genome in ((1,), (2,), (3,)):
+                store.record(genome, float(genome[0]))
+            assert store.get((1,)) == 1.0  # the torn record, from memory
+            assert store.appended == 3
+        clear_fault_plan()
+        tier = StoreTier(root)
+        assert len(tier.shard_files()) == 2
+        entries, _extras, repairs = tier.load_context("c")
+        assert entries == {(2,): 2.0, (3,): 3.0}
+        assert any("torn trailing" in event for event in repairs)
+        assert tier.compact()["records"] == 2
+        assert tier.load_context("c")[0] == entries
 
 
 def _kill_compaction_in_child(root, site, markers):

@@ -9,7 +9,10 @@ pool, real socket) lives in the ``slow``-marked class at the bottom.
 """
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -22,9 +25,16 @@ from repro.resilience.faults import (
     install_fault_plan,
 )
 from repro.service import ServiceClient, ServiceDaemon
+from repro.service.client import ServiceUnavailable
 from repro.service.api import ApiServer
 from repro.service.journal import JobJournal
 from repro.service.scheduler import CellScheduler
+
+
+REPO_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
 
 
 def job_payload(key, **overrides):
@@ -336,6 +346,46 @@ class TestEndToEnd:
         assert not (tmp_path / "state" / "endpoint.json").exists()
         twin = JobJournal(state)
         assert twin.get(submitted["id"]).state == "done"
+
+
+@pytest.mark.slow
+class TestShutdownAck:
+    """The ``shutdown`` op's ack reaches the client before the daemon
+    process exits, every time — even an idle daemon, whose drain is
+    fast enough to race the reply."""
+
+    ROUNDS = 20
+
+    def test_idle_daemon_acks_every_shutdown(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [REPO_SRC, env.get("PYTHONPATH")])
+        )
+        lost = []
+        for round_no in range(self.ROUNDS):
+            state = str(tmp_path / f"state-{round_no}")
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--dir", state,
+                 "--workers", "1"],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            )
+            try:
+                client = ServiceClient(state)
+                client.wait_ready(timeout=60.0, poll=0.05)
+                try:
+                    ack = client.shutdown()
+                except ServiceUnavailable as exc:
+                    lost.append(f"round {round_no}: {exc}")
+                else:
+                    assert ack == {"ok": True, "stopping": True}
+                assert proc.wait(timeout=60) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert lost == []
 
 
 class TestCancellation:

@@ -1,7 +1,7 @@
 """The neutrality property: telemetry must be invisible to the science.
 
 A campaign run with ``--telemetry`` must produce bitwise-identical
-fitnesses, evaluation-store bytes and GA checkpoints to the same run
+fitnesses, evaluation-store records and GA checkpoints to the same run
 without it — observability may only *add* files, never perturb results.
 The same harness doubles as the end-to-end check that an instrumented
 campaign emits a schema-valid, summarizable event stream.
@@ -13,6 +13,7 @@ import os
 
 from repro.experiments.campaign import grid_tasks, run_campaign
 from repro.ga.engine import GAConfig
+from repro.perf.storetier import StoreTier
 from repro.telemetry import ENV_VAR
 from repro.telemetry.schema import (
     REQUIRED_METRIC_FAMILIES,
@@ -30,7 +31,7 @@ def _run(tmp_path, label, telemetry_dir=None):
     result = run_campaign(
         tasks,
         ga_config=TINY,
-        store_path=str(tmp_path / f"{label}-evals.jsonl"),
+        store_path=str(tmp_path / f"{label}-evals.tier"),
         serial=True,
         campaign_dir=campaign_dir,
         telemetry_dir=telemetry_dir,
@@ -42,6 +43,17 @@ def _run(tmp_path, label, telemetry_dir=None):
 def _read(path):
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def _tier_records(tmp_path, label):
+    """Every context's ``(entries, per-benchmark extras)`` in a tier."""
+    tier = StoreTier(str(tmp_path / f"{label}-evals.tier"))
+    records = {}
+    for context in tier.contexts():
+        entries, extras, _repairs = tier.load_context(context)
+        records[context] = (entries, extras)
+    assert records  # the campaign really persisted evaluations
+    return records
 
 
 def _checkpoints(tmp_path, label):
@@ -62,10 +74,8 @@ class TestBitwiseNeutrality:
             assert instrumented.tuned.params == clean.tuned.params
             assert instrumented.new_records == clean.new_records
 
-        # the shared evaluation store: byte-for-byte
-        assert _read(str(tmp_path / "probed-evals.jsonl")) == _read(
-            str(tmp_path / "plain-evals.jsonl")
-        )
+        # the shared evaluation-store tier: record for record
+        assert _tier_records(tmp_path, "probed") == _tier_records(tmp_path, "plain")
 
         # every GA checkpoint: byte-for-byte
         plain_ckpts = _checkpoints(tmp_path, "plain")

@@ -102,7 +102,7 @@ class TestCampaignCommand:
                 "6",
                 "--serial",
                 "--store",
-                str(tmp_path / "evals.jsonl"),
+                str(tmp_path / "evals.tier"),
             ]
         )
         assert code == 0
@@ -115,6 +115,40 @@ class TestCampaignCommand:
     def test_unknown_machine_is_clean_error(self, capsys):
         assert main(["campaign", "--machines", "itanium", "--serial"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_store_is_the_one_path_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "--store-tier", "x.tier"])
+
+    def test_single_file_store_is_refused_with_the_migrate_hint(
+        self, capsys, tmp_path
+    ):
+        legacy = tmp_path / "evals.jsonl"
+        legacy.write_text('{"ctx": "c", "genome": [1], "fitness": 1.0}\n')
+        code = main(
+            ["campaign", "--machines", "pentium4", "--scenarios", "opt",
+             "--serial", "--store", str(legacy)]
+        )
+        assert code == 2
+        assert "repro store migrate" in capsys.readouterr().err
+
+    def test_default_store_is_the_tier_tuning_shares(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.experiments.tuning import _store_path
+        from repro.perf.storetier import StoreTier
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
+        code = main(
+            ["campaign", "--machines", "pentium4", "--scenarios", "opt",
+             "--generations", "1", "--population", "4", "--serial"]
+        )
+        assert code == 0
+        default = str(tmp_path / "evaluations.tier")
+        assert _store_path() == default
+        assert f"store={default}" in capsys.readouterr().out
+        assert StoreTier(default).contexts()  # the cell's records landed
 
 
 class TestFigureCommand:

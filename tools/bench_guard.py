@@ -27,13 +27,13 @@ baseline:
   ``benchmarks/BENCH_adaptive_baseline.json``, 2x acceptance floor.
 * ``benchmarks/bench_native_kernel.py`` — the same generation under
   *Opt* through the batched evaluator pinned to the numpy rung vs
-  pinned to the compiled kernel backend (``repro.perf.native``: numba
-  when importable, else the ``cc``-built C extension), steady-state
+  pinned to the compiled kernel backend (``repro.perf.native``: the
+  ``cc``-built C extension), steady-state
   propagation with warm plan caches.  Results in
   ``benchmarks/BENCH_native.json``, baseline in
   ``benchmarks/BENCH_native_baseline.json``, 2x acceptance floor.
-  Needs a compiled backend (it raises without one) — hosts with
-  neither numba nor a C compiler should run the other guards only.
+  Needs a compiled backend (it raises without one) — hosts without a
+  C compiler should run the other guards only.
 * ``benchmarks/bench_blocked_kernel.py`` — the same *Opt* generation's
   propagation through the compiled backend dispatched one
   representative at a time vs one cache-blocked batched call
@@ -42,11 +42,11 @@ baseline:
   ``benchmarks/BENCH_blocked_baseline.json``, 1.3x acceptance floor.
   Needs a compiled backend, like the native guard.
 * ``benchmarks/bench_store_tier.py`` — the sharded store tier
-  (``repro.perf.storetier``) vs the legacy single-file store: batched
+  (``repro.perf.storetier``) vs the single-file store: batched
   warm-start lookup against an 8-context store (indexed pack query vs
   full JSONL replay; ``speedup``, 5x floor) and 4-writer append
-  throughput (private shards vs the coordinator's single-writer merge
-  funnel; ``append_speedup``, 2x floor).  Results in
+  throughput (private shards vs a single-writer merge funnel over the
+  single-file store; ``append_speedup``, 2x floor).  Results in
   ``benchmarks/BENCH_store.json``, baseline in
   ``benchmarks/BENCH_store_baseline.json``.
 
